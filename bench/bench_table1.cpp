@@ -2,10 +2,16 @@
 // power at 95,000 jobs for M = 30 and M = 40, under round-robin, DRL-only
 // and the hierarchical framework.
 //
-// All six cells ("table1/m30/*" + "table1/m40/*" from the builtin registry)
-// run as one ParallelRunner batch; each cluster size shares one cached
-// trace. Results come back order-stable, so rows print in registry order.
+// Every "table1/" cell of the builtin registry runs as one ParallelRunner
+// batch; each cluster size shares one cached trace. Results are keyed by
+// scenario name: each M block reports its three paper systems, and any other
+// table1 cell (e.g. the fault-injected hierarchical run) prints as its own
+// labeled row.
 #include <cstdio>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -31,8 +37,19 @@ constexpr PaperRow kPaperM40[] = {
     {"hierarchical", 224.51, 94.26, 1336.37},
 };
 
+using ResultsByName = std::map<std::string, hcrl::core::ExperimentResult>;
+
+/// Report the M-machine block and remove its three paper cells from `cells`.
 void report_for_machines(std::size_t machines, std::size_t jobs, const PaperRow* paper,
-                         const std::vector<hcrl::core::ExperimentResult>& results) {
+                         ResultsByName& cells) {
+  std::vector<hcrl::core::ExperimentResult> results;
+  for (int i = 0; i < 3; ++i) {
+    const std::string name = "table1/m" + std::to_string(machines) + "/" + paper[i].system;
+    const auto it = cells.find(name);
+    if (it == cells.end()) throw std::runtime_error("bench_table1: no result for " + name);
+    results.push_back(std::move(it->second));
+    cells.erase(it);
+  }
   std::printf("\n=== Table I, M = %zu, %zu jobs ===\n", machines, jobs);
   std::printf("--- paper reports (at 95,000 jobs on the real Google trace) ---\n");
   for (int i = 0; i < 3; ++i) {
@@ -88,15 +105,29 @@ void report_real_trace_cells() {
   }
 }
 
+/// Every table1 cell that is not one of the paper's six, labeled by name.
+void report_other_cells(const ResultsByName& cells) {
+  if (cells.empty()) return;
+  std::printf("\n=== other table1 cells ===\n");
+  std::printf("%-32s ", "scenario");
+  hcrl::bench::print_result_header();
+  for (const auto& [name, result] : cells) {
+    std::printf("%-32s ", name.c_str());
+    hcrl::bench::print_result_row(result);
+  }
+}
+
 int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(95000);
 
-  // One batch: m30's three systems first (registry order), then m40's.
   const auto scenarios = hcrl::core::ScenarioRegistry::builtin().make_group("table1/", jobs);
   const auto results = hcrl::bench::run_parallel_sweep(scenarios);
+  ResultsByName cells;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) cells.emplace(scenarios[i].name, results[i]);
 
-  report_for_machines(30, jobs, kPaperM30, {results.begin(), results.begin() + 3});
-  report_for_machines(40, jobs, kPaperM40, {results.begin() + 3, results.end()});
+  report_for_machines(30, jobs, kPaperM30, cells);
+  report_for_machines(40, jobs, kPaperM40, cells);
+  report_other_cells(cells);
 
   report_real_trace_cells();
   return 0;

@@ -7,6 +7,7 @@
 //   ./run_experiment --catalog google2011-sample [system]
 //   ./run_experiment --list-scenarios
 //   ./run_experiment --list-policies
+//   ./run_experiment --help
 //
 // Telemetry (combinable with every mode above):
 //   --metrics-json <path>   write an hcrl-metrics-v1 snapshot (+ sibling
@@ -25,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,6 +39,20 @@
 #include "src/nn/precision.hpp"
 #include "src/policy/registry.hpp"
 #include "src/telemetry/export.hpp"
+
+namespace {
+
+void print_usage(std::FILE* out, const char* prog) {
+  std::fprintf(out,
+               "usage: %s <config-file> | --inline \"key = value\" ... | "
+               "--scenario <name> [jobs] |\n"
+               "       --trace <csv> [system] | --catalog <dataset> [system] | "
+               "--list-scenarios | --list-policies | --help\n"
+               "  [--metrics-json <path>] [--chrome-trace <path>]\n",
+               prog);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace hcrl;
@@ -64,6 +80,10 @@ int main(int argc, char** argv) {
 
   const std::string mode = nargs >= 2 ? args[1] : "";
 
+  if (mode == "--help" || mode == "-h") {
+    print_usage(stdout, arg(0));
+    return 0;
+  }
   if (mode == "--list-scenarios") {
     for (const auto& name : core::ScenarioRegistry::builtin().names()) {
       std::printf("%s\n", name.c_str());
@@ -77,6 +97,12 @@ int main(int argc, char** argv) {
 
   core::Scenario scenario;
   try {
+    // The named modes take at most two operands; anything after them would
+    // be silently ignored, so it is an error.
+    if ((mode == "--scenario" || mode == "--trace" || mode == "--catalog") && nargs > 4) {
+      throw std::invalid_argument(mode + " takes at most two operands; unexpected argument '" +
+                                  args[4] + "'");
+    }
     if (mode == "--scenario") {
       if (nargs < 3) {
         std::fprintf(stderr, "usage: %s --scenario <name> [jobs]\n", arg(0));
@@ -109,12 +135,8 @@ int main(int argc, char** argv) {
       } else if (nargs >= 2) {
         raw = common::Config::from_file(args[1]);
       } else {
-        std::fprintf(stderr,
-                     "usage: %s <config-file> | --inline \"key = value\" ... | "
-                     "--scenario <name> [jobs] | --list-scenarios | --list-policies\n"
-                     "  [--metrics-json <path>] [--chrome-trace <path>]\n"
-                     "running built-in demo config instead.\n\n",
-                     arg(0));
+        print_usage(stderr, arg(0));
+        std::fprintf(stderr, "running built-in demo config instead.\n\n");
         raw = common::Config::from_string(
             "system = hierarchical\n"
             "trace.num_jobs = 5000\n"

@@ -65,7 +65,6 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
     throw std::invalid_argument("experiment_config_from: gemm_threads must be >= 0");
   }
   cfg.gemm_threads = static_cast<std::size_t>(gemm_threads);
-  cfg.batch_decisions = config.get_bool("batch_decisions", cfg.batch_decisions);
   cfg.shards = non_negative("shards", cfg.shards);
   cfg.sla_latency_s = config.get_double("sla_latency_s", cfg.sla_latency_s);
 

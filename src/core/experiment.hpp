@@ -88,18 +88,12 @@ struct ExperimentConfig {
   /// bit-identical to serial — so scenarios with different values may share
   /// one sweep.
   std::size_t gemm_threads = 0;
-  /// Route agent inference through a shared core::DecisionService: idle
-  /// decisions staged per decision epoch, predictor/Q evaluations fused into
-  /// batched sweeps, results scattered back (bit-identical action sequences;
-  /// the per-call path is kept as the parity reference and enabled by
-  /// setting this false).
-  bool batch_decisions = true;
   /// Event-loop engine for the measured run: 0 keeps the serial sim::Cluster;
   /// >= 1 runs sim::ShardedCluster with that many shards in deterministic
   /// lockstep (shards=1 is bit-identical to the serial engine; any fixed
   /// shard count is bit-reproducible run-to-run). The threaded shard engine
   /// is exercised by bench/ and tests; the driver keeps lockstep so every
-  /// policy — including the staging RL tiers — is supported unchanged.
+  /// policy — including the RL tiers that share learners — is supported.
   std::size_t shards = 0;
 
   /// Deterministic fault injection for the measured run (config keys

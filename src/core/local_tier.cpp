@@ -125,9 +125,9 @@ void RlPowerManager::close_sojourn(const sim::Server& server, sim::Time now, Per
   ps.agent->update_with_value(ps.pending_state, ps.pending_action, reward_rate, tau, -wake_cost);
 }
 
-double RlPowerManager::decide_timeout(const sim::Server& server, sim::Time now, PerServer& ps,
-                                      double gap) {
-  const std::size_t state = discretize(gap);
+double RlPowerManager::on_idle(const sim::Server& server, sim::Time now) {
+  PerServer& ps = per_server(server.id());
+  const std::size_t state = discretize(predicted_gap(server, now, ps));
   const std::size_t action =
       learning_ ? ps.agent->select_action(state, ps.rng) : ps.agent->greedy_action(state);
 
@@ -140,48 +140,6 @@ double RlPowerManager::decide_timeout(const sim::Server& server, sim::Time now, 
   ++ps.decisions;
 
   return opts_.timeout_actions[action];
-}
-
-double RlPowerManager::on_idle(const sim::Server& server, sim::Time now) {
-  PerServer& ps = per_server(server.id());
-  return decide_timeout(server, now, ps, predicted_gap(server, now, ps));
-}
-
-bool RlPowerManager::defer_idle(sim::Server& server, sim::Time now, sim::EventQueue& queue) {
-  if (service_ == nullptr) return false;  // no batching service: inline path
-  PerServer& ps = per_server(server.id());
-  StagedIdle staged;
-  staged.server = &server;
-  staged.queue = &queue;
-  staged.now = now;
-  // Claim the event seq the inline path's push would have received here, so
-  // the deferred commit reproduces the heap's (time, seq) order exactly.
-  staged.seq = queue.reserve_seq();
-  if (server.last_arrival_time() >= 0.0) {
-    staged.ticket = service_->stage_predict(*ps.predictor);
-    staged.has_ticket = true;
-  }  // else: predicted_gap's no-history shortcut needs no prediction
-  staged_.push_back(staged);
-  return true;
-}
-
-void RlPowerManager::flush_decisions() {
-  service_->flush();  // all staged predictions resolve in batched sweeps
-  for (const StagedIdle& staged : staged_) {
-    PerServer& ps = per_server(staged.server->id());
-    double gap;
-    if (staged.has_ticket) {
-      // predicted_gap(), with the predictor read from the batched results.
-      const double predicted_next =
-          staged.server->last_arrival_time() + service_->prediction(staged.ticket);
-      gap = std::max(0.0, predicted_next - staged.now);
-    } else {
-      gap = opts_.interarrival_bins.back() + 1.0;  // no history: coldest bin
-    }
-    const double timeout = decide_timeout(*staged.server, staged.now, ps, gap);
-    staged.server->commit_idle_decision(timeout, staged.now, staged.seq, *staged.queue);
-  }
-  staged_.clear();
 }
 
 const rl::TabularQAgent& RlPowerManager::agent(sim::ServerId server) const {

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/core/decision_service.hpp"
 #include "src/core/predictor.hpp"
 #include "src/rl/tabular_q.hpp"
 #include "src/sim/policies.hpp"
@@ -71,20 +70,6 @@ class RlPowerManager final : public sim::PowerPolicy {
   void on_arrival(const sim::Server& server, const sim::Job& job, sim::Time now) override;
   std::string name() const override { return "rl-dpm(" + opts_.predictor + ")"; }
 
-  // -- decision-epoch batching (core::DecisionService) -----------------------
-  //
-  // With a service installed, idle decisions are *staged*: defer_idle()
-  // reserves the event seq the inline path would have used and queues the
-  // predictor request; the Cluster's epoch-boundary flush_decisions() then
-  // resolves all staged predictions in one batched sweep and commits each
-  // timeout through Server::commit_idle_decision. Action sequences are
-  // bit-identical to the inline path (per-server RNG/predictor streams, pure
-  // predict, reserved seqs). Without a service every hook is pass-through.
-  void set_decision_service(DecisionService* service) noexcept { service_ = service; }
-  bool defer_idle(sim::Server& server, sim::Time now, sim::EventQueue& queue) override;
-  bool has_staged_decisions() const override { return !staged_.empty(); }
-  void flush_decisions() override;
-
   void set_learning(bool learning) noexcept { learning_ = learning; }
   bool learning() const noexcept { return learning_; }
 
@@ -110,16 +95,6 @@ class RlPowerManager final : public sim::PowerPolicy {
     std::size_t decisions = 0;
   };
 
-  /// One idle decision staged by defer_idle, awaiting the epoch flush.
-  struct StagedIdle {
-    sim::Server* server = nullptr;
-    sim::EventQueue* queue = nullptr;
-    sim::Time now = 0.0;
-    std::uint64_t seq = 0;  // reserved at staging; threads into the commit
-    DecisionService::Ticket ticket = 0;
-    bool has_ticket = false;  // false when the coldest-bin shortcut applies
-  };
-
   /// Checked-once indexed access for the hot hooks (throws std::out_of_range
   /// on an id outside the configured server count).
   PerServer& per_server(sim::ServerId id);
@@ -128,17 +103,11 @@ class RlPowerManager final : public sim::PowerPolicy {
   double predicted_gap(const sim::Server& server, sim::Time now, PerServer& ps) const;
   /// Apply the Eqn. (2) update for the sojourn that ends at this arrival.
   void close_sojourn(const sim::Server& server, sim::Time now, PerServer& ps);
-  /// The decision half of §VI-B case 1 shared by the inline and batched
-  /// paths: discretize the gap, epsilon-greedily pick a timeout action, open
-  /// the SMDP sojourn. Returns the chosen timeout in seconds.
-  double decide_timeout(const sim::Server& server, sim::Time now, PerServer& ps, double gap);
 
   LocalPowerManagerOptions opts_;
   std::vector<std::unique_ptr<rl::TabularQAgent>> agents_;  // 1 if shared, M otherwise
   std::vector<PerServer> servers_;
   bool learning_ = true;
-  DecisionService* service_ = nullptr;  // not owned; null = inline decisions
-  std::vector<StagedIdle> staged_;
 };
 
 }  // namespace hcrl::core

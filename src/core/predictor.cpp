@@ -281,15 +281,6 @@ double LstmPredictor::predict() {
   return predict_windows({history_.size()}).front();
 }
 
-std::vector<double> LstmPredictor::predict_n(std::size_t n) {
-  if (n == 0) return {};
-  if (history_.size() < opts_.lookback) return std::vector<double>(n, opts_.prior_s);
-  // n copies of the live window through ONE stacked sweep (batch = n). The
-  // GEMM row-batch invariance (see nn/matrix.hpp) makes each entry
-  // bit-identical to a lone predict() call.
-  return predict_windows(std::vector<std::size_t>(n, history_.size()));
-}
-
 std::vector<double> LstmPredictor::predict_windows(const std::vector<std::size_t>& ends) {
   if (ends.empty()) return {};
   for (const std::size_t end : ends) {

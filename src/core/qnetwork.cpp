@@ -1,6 +1,7 @@
 #include "src/core/qnetwork.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "src/nn/autoencoder.hpp"
@@ -54,10 +55,6 @@ class GroupedQCore {
 
   nn::Vec q_values_target(const nn::Vec& full_state) {
     return q_values_with(*target_subq_, full_state);
-  }
-
-  void q_values_batch(std::span<const nn::Vec* const> states, nn::Matrix& out) {
-    q_values_batch_with(*online_subq_, states, out);
   }
 
   double train_batch(const std::vector<const rl::Transition*>& batch, double beta) {
@@ -207,12 +204,8 @@ class GroupedQCore {
   }
 
   /// B decision states through ONE autoencoder sweep (B*K group rows) and ONE
-  /// Sub-Q sweep (B*K head rows), instead of B separate 2-sweep q_values()
-  /// calls. Row b of `out` is the full |M|-action Q-vector of states[b],
-  /// written in place — the decision epoch reads rows as spans, never
-  /// assembling per-state Vecs. Single-panel GEMM row invariance (head input
-  /// and hidden dims < one k-panel, see nn/matrix.hpp) makes each row
-  /// bit-identical to a lone q_values() call.
+  /// Sub-Q sweep (B*K head rows). Row b of `out` is the full |M|-action
+  /// Q-vector of states[b]; q_values() runs it at B = 1.
   void q_values_batch_with(nn::NetworkT<S>& subq, std::span<const nn::Vec* const> states,
                            nn::Matrix& out) {
     const auto& enc = opts_.encoder;
@@ -301,14 +294,6 @@ nn::Vec GroupedQNetwork::q_values(const nn::Vec& full_state) {
 
 nn::Vec GroupedQNetwork::q_values_target(const nn::Vec& full_state) {
   return f32_ ? f32_->q_values_target(full_state) : f64_->q_values_target(full_state);
-}
-
-void GroupedQNetwork::q_values_batch(std::span<const nn::Vec* const> states, nn::Matrix& out) {
-  if (f32_) {
-    f32_->q_values_batch(states, out);
-  } else {
-    f64_->q_values_batch(states, out);
-  }
 }
 
 double GroupedQNetwork::train_batch(const std::vector<const rl::Transition*>& batch,

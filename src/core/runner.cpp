@@ -15,7 +15,6 @@
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/nn/matrix.hpp"
-#include "src/core/decision_service.hpp"
 #include "src/core/global_tier.hpp"
 #include "src/core/local_tier.hpp"
 #include "src/policy/registry.hpp"
@@ -171,15 +170,6 @@ ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
   // Both tiers come from the policy registry: the config's system enum (or
   // its allocator/power override keys) name registered entries.
   policy::SystemBundle policies = policy::build_system(cfg);
-
-  // Decision-epoch batching: one service shared by both tiers, alive across
-  // the warmup and measured clusters (actions stay bit-identical to the
-  // per-call path, so batch_decisions never changes results — only cost).
-  DecisionService decision_service;
-  if (cfg.batch_decisions) {
-    if (policies.drl != nullptr) policies.drl->set_decision_service(&decision_service);
-    if (policies.local_rl != nullptr) policies.local_rl->set_decision_service(&decision_service);
-  }
 
   // ---- offline construction phase (DRL systems only) -----------------------
   if (policies.drl != nullptr && cfg.pretrain_jobs > 0) {

@@ -18,8 +18,6 @@
 #include <cassert>
 #include <cstddef>
 #include <memory>
-#include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -171,19 +169,6 @@ VecT<S> concat(const std::vector<const VecT<S>*>& parts);
 /// Index of the maximum element (first on ties); requires non-empty.
 template <class S>
 std::size_t argmax(const VecT<S>& x);
-
-/// argmax over a borrowed contiguous range — same semantics as the VecT
-/// overload, for callers that read rows of a batched output Matrix in place
-/// (core::DecisionService) instead of assembling a temporary Vec.
-template <class S>
-std::size_t argmax(std::span<const S> x) {
-  if (x.empty()) throw std::invalid_argument("argmax: empty span");
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    if (x[i] > x[best]) best = i;
-  }
-  return best;
-}
 
 /// Per-element value conversion between precisions (the agent boundary).
 template <class To, class From>

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -80,15 +79,6 @@ class DqnAgent {
   /// Epsilon-greedy action; advances the exploration counter.
   std::size_t act(const nn::Vec& state, common::Rng& rng);
   std::size_t act_greedy(const nn::Vec& state);
-
-  /// Q-values of B states in one batched forward sweep; row b of `out`
-  /// (resized to B x n_actions) is states[b]'s Q-vector, bit-identical to
-  /// q_values(*states[b]) for panel-sized layers (see nn/matrix.hpp).
-  void q_values_batch(std::span<const nn::Vec* const> states, nn::Matrix& out);
-  /// Epsilon-greedy actions for B states with the RNG drawn in per-call act()
-  /// order (bit-identical action sequence); greedy states share one batched
-  /// forward, exploration states never touch the network.
-  std::vector<std::size_t> act_batch(std::span<const nn::Vec* const> states, common::Rng& rng);
 
   /// Record a transition; trains and syncs the target net on schedule.
   void observe(Transition t);

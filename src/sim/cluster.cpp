@@ -83,33 +83,7 @@ void Cluster::load_jobs(std::vector<Job> jobs) {
 }
 
 bool Cluster::step() {
-  // Decision-epoch boundary: decisions staged via PowerPolicy::defer_idle
-  // must be committed before any event that could observe their outcome —
-  // a time advance (a staged timeout may schedule an event earlier than the
-  // current heap top), any job arrival (the global tier's state encoding
-  // reads every server's power state), or queue drain. Same-time non-arrival
-  // events touch only their own server's state and the staged decisions touch
-  // only theirs, so they commute with the staged requests and may extend the
-  // epoch — that is where the cross-server batching comes from.
-  // Fault-injected retries are re-arrivals, so for the barrier they count
-  // exactly like arrival events (and a pending retry means the simulation
-  // is not drained).
-  bool retry_next = retry_outranks_heap();
-  if (power_policy_.has_staged_decisions()) {
-    const bool drained = queue_.empty() && !retry_next;
-    const Time next_time =
-        retry_next ? faults_->next_retry_time() : (queue_.empty() ? now_ : queue_.top().time);
-    const bool arrival_next =
-        retry_next || (!queue_.empty() && queue_.top().type == EventType::kJobArrival);
-    if (drained || next_time != now_ || arrival_next) {
-      count_flush(drained        ? FlushReason::kDrain
-                  : arrival_next ? FlushReason::kArrival
-                                 : FlushReason::kTimeAdvance);
-      power_policy_.flush_decisions();  // may push events at times >= now_
-      retry_next = retry_outranks_heap();
-    }
-  }
-  if (retry_next) {
+  if (retry_outranks_heap()) {
     const FaultInjector::Retry r = faults_->pop_retry();
     if (r.time < now_) throw std::logic_error("Cluster: time went backwards");
     now_ = r.time;
@@ -150,14 +124,6 @@ void Cluster::run() {
 
 void Cluster::run_until_completed(std::size_t n) {
   while (metrics_.jobs_completed() < n && step()) {
-  }
-  // The loop can exit with decisions still staged (the n-th completion may
-  // land mid-epoch). Their outcomes are already fixed — only arrivals feed
-  // the predictors, and none intervened — so committing here preserves the
-  // (time, seq) order a longer run would have produced.
-  if (power_policy_.has_staged_decisions()) {
-    count_flush(FlushReason::kForced);
-    power_policy_.flush_decisions();
   }
 }
 

@@ -171,20 +171,7 @@ bool ShardedCluster::step() {
   if (cfg_.execution == ShardedClusterConfig::Execution::kParallel) {
     throw std::logic_error("ShardedCluster::step: parallel mode runs whole windows; use run()");
   }
-  // Decision-epoch flush barrier, same contract as Cluster::step(): staged
-  // decisions commit before any event that could observe their outcome — a
-  // time advance, any arrival, or queue drain. The flush may push events
-  // earlier than the current merged top, so re-derive it afterwards.
-  MergedTop top = merged_top();
-  // Retries are re-arrivals: for the barrier they count like arrivals.
-  if (power_policy_.has_staged_decisions() &&
-      (!top.any || top.time != now_ || top.is_arrival || top.is_retry)) {
-    count_flush(!top.any                         ? FlushReason::kDrain
-                : top.is_arrival || top.is_retry ? FlushReason::kArrival
-                                                 : FlushReason::kTimeAdvance);
-    power_policy_.flush_decisions();
-    top = merged_top();
-  }
+  const MergedTop top = merged_top();
   if (!top.any) {
     if (!finished_notified_) {
       finished_notified_ = true;
@@ -313,10 +300,6 @@ void ShardedCluster::run_until_completed(std::size_t n) {
     throw std::logic_error("ShardedCluster::run_until_completed: lockstep mode only");
   }
   while (jobs_completed() < n && step()) {
-  }
-  if (power_policy_.has_staged_decisions()) {
-    count_flush(FlushReason::kForced);
-    power_policy_.flush_decisions();
   }
 }
 

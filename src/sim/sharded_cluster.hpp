@@ -11,8 +11,7 @@
 // Two execution modes:
 //  - kLockstep: single-threaded; shards advance one event at a time under a
 //    merged (time, arrival-first, shard, seq) order that reproduces the
-//    serial Cluster exactly when num_shards == 1 (including the staged
-//    decision-epoch flush barrier). Supports every policy.
+//    serial Cluster exactly when num_shards == 1. Supports every policy.
 //  - kParallel: one worker thread per shard draining windows bounded by the
 //    next arrival; requires PowerPolicy::shard_parallel_safe(). When the
 //    allocator is RoutingMode::kTraceOnly, arrivals are pre-routed at load

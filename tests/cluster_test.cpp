@@ -179,78 +179,6 @@ TEST(Cluster, SleepingClusterUsesLessEnergyThanAlwaysOn) {
   EXPECT_LT(run_with(sleep_now), 0.5 * run_with(on));
 }
 
-// A power policy that stages every idle decision (the RL local tier's seam)
-// with a fixed timeout, so engine-level flush behavior can be probed without
-// the full learning stack.
-class StagingTimeoutPolicy final : public PowerPolicy {
- public:
-  explicit StagingTimeoutPolicy(double timeout) : timeout_(timeout) {}
-  double on_idle(const Server&, Time) override { return timeout_; }
-  bool defer_idle(Server& server, Time now, EventQueue& queue) override {
-    staged_.push_back(Staged{&server, &queue, now, queue.reserve_seq()});
-    return true;
-  }
-  bool has_staged_decisions() const override { return !staged_.empty(); }
-  void flush_decisions() override {
-    ++flushes;
-    for (const Staged& s : staged_) {
-      s.server->commit_idle_decision(timeout_, s.at, s.seq, *s.queue);
-    }
-    staged_.clear();
-  }
-  std::string name() const override { return "staging-timeout"; }
-  int flushes = 0;
-
- private:
-  struct Staged {
-    Server* server;
-    EventQueue* queue;
-    Time at;
-    std::uint64_t seq;
-  };
-  double timeout_;
-  std::vector<Staged> staged_;
-};
-
-// Regression: run_until_completed could return mid-epoch with decisions
-// still staged — never committed, leaving servers idle-forever and the
-// policy holding dangling work. It must flush before returning.
-TEST(Cluster, RunUntilCompletedFlushesStagedDecisions) {
-  RoundRobinAllocator alloc;
-  StagingTimeoutPolicy power(5.0);
-  Cluster c(small_cluster(1), alloc, power);
-  // One job: its finish event both completes job #1 and idles the server,
-  // staging a decision in the same step that satisfies the target count.
-  c.load_jobs({make_job(1, 0.0, 10.0)});
-  c.run_until_completed(1);
-  EXPECT_EQ(c.metrics().jobs_completed(), 1u);
-  EXPECT_FALSE(power.has_staged_decisions());
-  EXPECT_GE(power.flushes, 1);
-  // The committed timeout is real: draining the rest puts the server to sleep.
-  c.run();
-  EXPECT_EQ(c.server(0).power_state(), PowerState::kSleep);
-}
-
-TEST(Cluster, StagedAndInlineTimeoutsProduceIdenticalRuns) {
-  auto run_with = [](PowerPolicy& power) {
-    RoundRobinAllocator alloc;
-    Cluster c(small_cluster(2), alloc, power);
-    std::vector<Job> jobs;
-    for (int i = 0; i < 30; ++i) jobs.push_back(make_job(i, i * 40.0, 25.0, 0.4));
-    c.load_jobs(jobs);
-    c.run();
-    return c.snapshot();
-  };
-  FixedTimeoutPolicy inline_policy(5.0);
-  StagingTimeoutPolicy staged_policy(5.0);
-  const auto a = run_with(inline_policy);
-  const auto b = run_with(staged_policy);
-  EXPECT_EQ(a.now, b.now);
-  EXPECT_EQ(a.energy_joules, b.energy_joules);
-  EXPECT_EQ(a.accumulated_latency_s, b.accumulated_latency_s);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-}
-
 // The O(1) incremental counters must track the brute-force rescans at every
 // event of a run that exercises all power-state transitions.
 TEST(Cluster, IncrementalCountersMatchBruteForceScan) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 namespace hcrl::core {
 namespace {
@@ -228,6 +229,55 @@ TEST(ArPredictor, PredictionsNeverNegative) {
     p.observe(rng.exponential(0.1));
     EXPECT_GE(p.predict(), 0.0);
   }
+}
+
+// ---- WindowPredictor (O(1) rolling-sum predictor) --------------------------
+
+TEST(WindowPredictor, RoundsWindowUpToPowerOfTwoAndStartsAtPrior) {
+  WindowPredictor p(/*window=*/5, /*prior_s=*/100.0);
+  EXPECT_EQ(p.window(), 8u);  // 5 -> 8
+  EXPECT_DOUBLE_EQ(p.predict(), 100.0);
+  EXPECT_EQ(p.name(), "window");
+}
+
+TEST(WindowPredictor, BlendsPriorOutSampleBySample) {
+  WindowPredictor p(/*window=*/4, /*prior_s=*/40.0);
+  p.observe(80.0);
+  // Ring now holds {80, 40, 40, 40}.
+  EXPECT_DOUBLE_EQ(p.predict(), (80.0 + 3 * 40.0) / 4.0);
+}
+
+TEST(WindowPredictor, MatchesBruteForceMeanOfLastWindow) {
+  const std::size_t window = 8;
+  WindowPredictor p(window, /*prior_s=*/10.0);
+  common::Rng rng(99);
+  std::vector<double> seen;
+  for (int i = 0; i < 100; ++i) {
+    const double v = rng.uniform() * 500.0;
+    p.observe(v);
+    seen.push_back(v);
+    if (seen.size() >= window) {
+      double sum = 0.0;
+      for (std::size_t j = seen.size() - window; j < seen.size(); ++j) sum += seen[j];
+      EXPECT_NEAR(p.predict(), sum / static_cast<double>(window), 1e-9);
+    }
+  }
+}
+
+TEST(WindowPredictor, Validation) {
+  EXPECT_THROW(WindowPredictor(0, 10.0), std::invalid_argument);
+  EXPECT_THROW(WindowPredictor(4, 0.0), std::invalid_argument);
+  WindowPredictor p(4, 10.0);
+  EXPECT_THROW(p.observe(-1.0), std::invalid_argument);
+}
+
+TEST(WindowPredictor, FactoryBuildsItFromLookback) {
+  LstmPredictorOptions opts;
+  opts.lookback = 5;
+  opts.prior_s = 33.0;
+  const auto p = make_predictor("window", opts);
+  EXPECT_EQ(p->name(), "window");
+  EXPECT_DOUBLE_EQ(p->predict(), 33.0);
 }
 
 }  // namespace

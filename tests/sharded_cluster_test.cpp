@@ -72,9 +72,9 @@ TEST(ShardedCluster, OneShardMatchesSerialLeastLoadedF64) {
   expect_shards1_matches_serial(SystemKind::kLeastLoaded, nn::Precision::kF64);
 }
 
-// The hierarchical system exercises the staging RL local tier + decision
-// service: the lockstep engine must reproduce the epoch-flush barrier and
-// reserve_seq tie-breaking exactly.
+// The hierarchical system exercises both learning tiers: the lockstep engine
+// must reproduce the serial event order exactly with the RL local tier and
+// the DRL global tier deciding on every epoch.
 TEST(ShardedCluster, OneShardMatchesSerialHierarchicalF64) {
   expect_shards1_matches_serial(SystemKind::kHierarchical, nn::Precision::kF64);
 }
@@ -228,10 +228,10 @@ TEST(ShardedCluster, LockstepMatchesSerialForTraceOnlyPolicies) {
 TEST(ShardedCluster, ParallelModeRejectsUnsafePowerPolicyAndStepping) {
   sim::RoundRobinAllocator alloc;
 
-  class StagingProbe final : public sim::PowerPolicy {
+  class UnsafeProbe final : public sim::PowerPolicy {
    public:
     double on_idle(const sim::Server&, sim::Time) override { return sim::kNeverSleep; }
-    std::string name() const override { return "staging-probe"; }
+    std::string name() const override { return "unsafe-probe"; }
     // shard_parallel_safe() stays false (the default).
   } unsafe;
   EXPECT_THROW(sim::ShardedCluster(

@@ -426,7 +426,6 @@ TEST(TelemetryBitIdentity, FullExperimentBothPrecisionsSerialAndSharded) {
       EXPECT_GT(collector.num_events(), 0u);
       const RegistrySnapshot snap = global_registry().snapshot();
       EXPECT_GT(snap.find("sim.events")->count, 0u);
-      EXPECT_GT(snap.find("core.decision.flushes")->count, 0u);
       EXPECT_GT(snap.find("nn.gemm.calls")->count, 0u);
       EXPECT_GT(snap.find("runner.scenarios")->count, 0u);
     }
